@@ -154,7 +154,6 @@ fn shards_flushed(before: &[u64], after: &[u64]) -> u64 {
 /// What one open-loop phase measured.
 #[derive(Default)]
 struct Phase {
-    lat_ns: Vec<u64>,
     /// `(due, done)` of every response.
     spans: Vec<(u64, u64)>,
     traced_lat: Vec<f64>,
@@ -164,6 +163,15 @@ struct Phase {
     backlog: Vec<u32>,
     /// From the phase's origin to its last resolution.
     wall_ns: u64,
+}
+
+impl Phase {
+    /// Every response's latency from its due time, ascending.
+    fn latencies(&self) -> Vec<u64> {
+        let mut l: Vec<u64> = self.spans.iter().map(|&(due, done)| done - due).collect();
+        l.sort_unstable();
+        l
+    }
 }
 
 struct Loop<'a, 'p> {
@@ -280,7 +288,6 @@ impl<'p> Loop<'_, 'p> {
                     Ok(Some(resp)) => {
                         let f = flights.swap_remove(j);
                         completed += 1;
-                        phase.lat_ns.push(done - f.due);
                         phase.spans.push((f.due, done));
                         let req = &self.reqs[f.req];
                         let model = &self.models[req.model];
@@ -450,8 +457,7 @@ pub fn run(seed: u64, seconds: u64, trace: bool) -> Outcome {
         }
         (r.metrics(), Metrics::default())
     } else {
-        let mut all = fixed.lat_ns.clone();
-        all.sort_unstable();
+        let all = fixed.latencies();
         let origin = fixed.spans.iter().map(|&(due, _)| due).min().unwrap_or(0);
         let mut blocks = stats::Blocks::new(origin, BLOCK_NS, usize::MAX, seed);
         for &(due, done) in &fixed.spans {
@@ -491,7 +497,7 @@ pub fn run(seed: u64, seconds: u64, trace: bool) -> Outcome {
                 let probe_seed = seed ^ (probes_run << 40);
                 let o = order(RUNG_REQUESTS);
                 let due = arrivals::poisson_due_times(rate, RUNG_REQUESTS, probe_seed);
-                let mut ph = Loop {
+                let ph = Loop {
                     clock: &clock,
                     router: &mut router,
                     ids: &ids,
@@ -503,10 +509,9 @@ pub fn run(seed: u64, seconds: u64, trace: bool) -> Outcome {
                 .run(&o, &due);
                 attempted += ph.attempted;
                 failed += ph.failed;
-                ph.lat_ns.sort_unstable();
                 Rung {
                     rate,
-                    p99_ms: stats::percentile_sorted(&ph.lat_ns, P99) as f64 / 1e6,
+                    p99_ms: stats::percentile_sorted(&ph.latencies(), P99) as f64 / 1e6,
                     backlog_grew: arrivals::backlog_grows(&ph.backlog, BACKLOG_SLACK),
                 }
             });
